@@ -45,50 +45,11 @@ type t = {
   mutable interest_retx : int;
   mutable next_send_time : float;
   mutable last_shared_backoff : float;
-  mutable scan_timer : Engine.timer option;
-  mutable pump_timer : Engine.timer option;
+  scan_timer : Engine.handle;
+  pump_timer : Engine.handle;
   mutable completed : bool;
   mutable started : bool;
 }
-
-let create engine ~config ~node ~producer ~flow ?total_bytes ?metrics
-    ?(on_complete = fun () -> ()) ?(on_prefix = fun ~pos:_ ~len:_ -> ()) () =
-  let metrics =
-    match metrics with
-    | Some m -> m
-    | None -> Leotp_net.Flow_metrics.create ~flow
-  in
-  {
-    engine;
-    config;
-    node;
-    producer;
-    flow;
-    total_bytes;
-    metrics;
-    on_complete;
-    on_prefix;
-    cc = Hop_cc.create ~pipe_full_exit:false ~config ~now:(Engine.now engine) ();
-    shr = Shr.create ~config;
-    rto =
-      Leotp_util.Rto.create ~min_rto:0.05 ~max_rto:2.0
-        ~backoff_factor:config.Config.tr_backoff ();
-    last_shared_backoff = 0.0;
-    path_rtt_min = Leotp_util.Windowed_min.create_min ~window:10.0;
-    outstanding = IntMap.empty;
-    outstanding_bytes = 0;
-    stale_bytes = 0;
-    next_to_request = 0;
-    received = Interval_set.empty;
-    prefix = 0;
-    interests_sent = 0;
-    interest_retx = 0;
-    next_send_time = Engine.now engine;
-    scan_timer = None;
-    pump_timer = None;
-    completed = false;
-    started = false;
-  }
 
 let advertised_rate t =
   (* The Consumer has no sending buffer: its application drains data
@@ -172,24 +133,9 @@ let scan t =
   end
 [@@leotp.allow "hot-path-may-alloc"]
 
-(* Re-arming the scan timer allocates its action closure: one per scan
-   period, inherent to the [Engine.schedule] API. *)
-let rec ensure_scan_timer ~pump t =
-  if (not t.completed) && t.scan_timer = None then
-    t.scan_timer <-
-      Some
-        (Engine.schedule t.engine ~after:t.config.Config.tr_scan_interval
-           (fun () ->
-             t.scan_timer <- None;
-             if not t.completed then begin
-               scan t;
-               (* The periodic tick is also the liveness backstop for a
-                  window-blocked pump (nothing else fires when every
-                  outstanding Interest's response was lost). *)
-               pump t;
-               ensure_scan_timer ~pump t
-             end))
-[@@leotp.allow "hot-path-may-alloc"]
+let ensure_scan_timer t =
+  if (not t.completed) && not (Engine.is_pending t.scan_timer) then
+    Engine.rearm t.scan_timer ~after:t.config.Config.tr_scan_interval
 
 let want_more t =
   match t.total_bytes with
@@ -205,7 +151,7 @@ let want_more t =
 let rec pump t =
   if not t.completed then begin
     pump_loop t (Engine.now t.engine);
-    ensure_scan_timer ~pump t
+    ensure_scan_timer t
   end
 
 (* Recursive issue loop (no while+ref: [pump] runs per received Data and
@@ -262,17 +208,8 @@ and pump_loop t now =
   end
 
 and schedule_pump t ~at =
-  match t.pump_timer with
-  | Some timer when Engine.is_pending timer -> ()
-  | _ ->
-    t.pump_timer <-
-      (* arming the pacing timer allocates its action closure: one per
-         pacing gap, inherent to the [Engine.schedule_at] API *)
-      Some
-        (Engine.schedule_at t.engine ~time:at
-           ((fun () ->
-              t.pump_timer <- None;
-              pump t) [@leotp.allow "hot-path-may-alloc"]))
+  if not (Engine.is_pending t.pump_timer) then
+    Engine.rearm_at t.pump_timer ~time:at
 
 let finish t =
   if not t.completed then begin
@@ -282,8 +219,8 @@ let finish t =
         (Leotp_net.Trace.Complete
            { node = Node.id t.node; flow = t.flow; bytes = t.prefix });
     Leotp_net.Flow_metrics.set_finished t.metrics (Engine.now t.engine);
-    (match t.scan_timer with Some tm -> Engine.cancel tm | None -> ());
-    (match t.pump_timer with Some tm -> Engine.cancel tm | None -> ());
+    Engine.cancel t.scan_timer;
+    Engine.cancel t.pump_timer;
     t.on_complete ()
   end
 
@@ -397,6 +334,58 @@ let handle_packet t pkt =
   end
   else Leotp_net.Packet_pool.release pkt
 
+let create engine ~config ~node ~producer ~flow ?total_bytes ?metrics
+    ?(on_complete = fun () -> ()) ?(on_prefix = fun ~pos:_ ~len:_ -> ()) () =
+  let metrics =
+    match metrics with
+    | Some m -> m
+    | None -> Leotp_net.Flow_metrics.create ~flow
+  in
+  let t =
+  {
+    engine;
+    config;
+    node;
+    producer;
+    flow;
+    total_bytes;
+    metrics;
+    on_complete;
+    on_prefix;
+    cc = Hop_cc.create ~pipe_full_exit:false ~config ~now:(Engine.now engine) ();
+    shr = Shr.create ~config;
+    rto =
+      Leotp_util.Rto.create ~min_rto:0.05 ~max_rto:2.0
+        ~backoff_factor:config.Config.tr_backoff ();
+    last_shared_backoff = 0.0;
+    path_rtt_min = Leotp_util.Windowed_min.create_min ~window:10.0;
+    outstanding = IntMap.empty;
+    outstanding_bytes = 0;
+    stale_bytes = 0;
+    next_to_request = 0;
+    received = Interval_set.empty;
+    prefix = 0;
+    interests_sent = 0;
+    interest_retx = 0;
+    next_send_time = Engine.now engine;
+    scan_timer = Engine.handle engine ignore;
+    pump_timer = Engine.handle engine ignore;
+    completed = false;
+    started = false;
+  }
+  in
+  Engine.set_action t.scan_timer (fun () ->
+      if not t.completed then begin
+        scan t;
+        (* The periodic tick is also the liveness backstop for a
+           window-blocked pump (nothing else fires when every outstanding
+           Interest's response was lost). *)
+        pump t;
+        ensure_scan_timer t
+      end);
+  Engine.set_action t.pump_timer (fun () -> pump t);
+  t
+
 let start t =
   if not t.started then begin
     t.started <- true;
@@ -415,6 +404,6 @@ let interests_sent t = t.interests_sent
 let interest_retx t = t.interest_retx
 
 let stop t =
-  (match t.scan_timer with Some tm -> Engine.cancel tm | None -> ());
-  (match t.pump_timer with Some tm -> Engine.cancel tm | None -> ());
+  Engine.cancel t.scan_timer;
+  Engine.cancel t.pump_timer;
   t.completed <- true

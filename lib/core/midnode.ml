@@ -44,9 +44,9 @@ type t = {
 (* Allocates only on the first packet of a flow (the miss arm builds the
    whole per-flow state); every later packet takes the table hit. *)
 let get_flow t ~flow ~consumer ~producer =
-  match Hashtbl.find_opt t.flows flow with
-  | Some fs -> fs
-  | None ->
+  match Hashtbl.find t.flows flow with
+  | fs -> fs
+  | exception Not_found ->
     let now = Engine.now t.engine in
     let fs_ref = ref None in
     (* Data leaving the sending buffer gets this hop's fresh timestamp and

@@ -17,7 +17,8 @@
    Values start Unknown and only become Known through evidence:
 
    - {b seeds} — known signatures: every [Leotp_util.Units] conversion,
-     [Engine.now]/[schedule]/[every]/[run] times, [Link] delay and rate
+     [Engine.now]/[schedule]/[rearm]/[every]/[run] times, delay-line
+     [push] delays, [Link] delay and rate
      accessors, [Bandwidth] Mbps constructors, [Rto] times, [Cc]
      window sizes, [Geo] distances, and the packet wire accessors
      ([Wire.timestamp] is seconds, [Wire.send_rate] bytes/s, ...).
@@ -224,6 +225,9 @@ let seeds =
     { s_fn = "Engine.now"; s_args = []; s_ret = Some (Base Seconds) };
     { s_fn = "Engine.schedule"; s_args = [ (Lbl "after", Base Seconds) ]; s_ret = None };
     { s_fn = "Engine.schedule_at"; s_args = [ (Lbl "time", Base Seconds) ]; s_ret = None };
+    { s_fn = "Engine.rearm"; s_args = [ (Lbl "after", Base Seconds) ]; s_ret = None };
+    { s_fn = "Engine.rearm_at"; s_args = [ (Lbl "time", Base Seconds) ]; s_ret = None };
+    { s_fn = "Delay_line.push"; s_args = [ (Lbl "delay", Base Seconds); (Lbl "jitter", Base Seconds) ]; s_ret = None };
     { s_fn = "Engine.every"; s_args = [ (Lbl "period", Base Seconds); (Lbl "start", Base Seconds) ]; s_ret = None };
     { s_fn = "Engine.run"; s_args = [ (Lbl "until", Base Seconds) ]; s_ret = None };
     { s_fn = "Engine.run_slice"; s_args = [ (Lbl "until", Base Seconds) ]; s_ret = None };

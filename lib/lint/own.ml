@@ -26,9 +26,11 @@
        (closures, tuples, records, list cells, lazy blocks, known
        allocating stdlib calls, partial application of known functions)
        and walks them from the per-packet hot roots: the engine
-       dispatch loop, [Shr.on_packet], [Seg_store] scans, [Pkt_queue]
-       and the packet pool itself, plus literal closures handed to
-       [Engine.schedule]/[schedule_at]/[every], [Node.set_handler] and
+       dispatch loop and timer re-arming, [Shr.on_packet], [Seg_store]
+       scans, [Pkt_queue] and the packet pool itself, plus literal
+       closures handed to [Engine.schedule]/[schedule_at]/[every], to
+       [Engine.handle]/[set_action] (handle actions), to
+       [Delay_line.create]/[set_deliver], [Node.set_handler] and
        [Link.set_sink] inside the datapath directories.  Error paths
        ([raise]/[failwith]/[invalid_arg]/[assert]) and debug-guarded
        branches ([if Trace.on () then ...]) are exempt.
@@ -140,6 +142,10 @@ let hot_root_defs =
   [
     "Engine.step";
     "Engine.run_slice";
+    "Engine.rearm";
+    "Engine.rearm_at";
+    "Engine.cancel";
+    "Delay_line.push";
     "Shr.on_packet";
     "Seg_store.iter";
     "Seg_store.iter_from_while";
@@ -162,6 +168,10 @@ let hot_closure_sinks =
     "Engine.schedule";
     "Engine.schedule_at";
     "Engine.every";
+    "Engine.handle";
+    "Engine.set_action";
+    "Delay_line.create";
+    "Delay_line.set_deliver";
     "Node.set_handler";
     "Link.set_sink";
   ]

@@ -19,7 +19,7 @@ type stats = {
   mutable drops_flush : int;  (** link switching *)
   mutable drops_down : int;  (** offered while the link was down *)
   mutable dups : int;  (** fault-injected duplicate deliveries *)
-  queue_delay : Leotp_util.Stats.t;  (** seconds spent queued, per packet *)
+  mutable dequeued : int;  (** taken off the queue for serialization *)
 }
 
 val create :
@@ -82,6 +82,10 @@ val set_reorder : t -> prob:float -> jitter:float -> unit
     can overtake it (default 0/0). *)
 
 val stats : t -> stats
+
+val mean_queue_delay : t -> float
+(** Mean seconds a packet spent queued, over the [dequeued] packets
+    ([nan] before the first). *)
 
 val trace_final : t -> unit
 (** Emit a {!Trace.Link_final} accounting record for this link (no-op

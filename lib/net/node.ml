@@ -9,6 +9,16 @@ type t = {
 (* Domain-local: see the note on [Packet.counter]. *)
 let counter = Domain.DLS.new_key (fun () -> ref 0)
 
+(* [Hashtbl.find] rather than [find_opt]: the lookup runs per forwarded
+   packet, and [find_opt] allocates a [Some] per hit. *)
+let send t pkt =
+  match Hashtbl.find t.routes pkt.Packet.dst with
+  | link -> Link.send link pkt
+  | exception Not_found ->
+    (* The packet dies here: no route means no owner downstream. *)
+    t.no_route_drops <- t.no_route_drops + 1;
+    Packet_pool.release pkt
+
 let create ~name =
   let c = Domain.DLS.get counter in
   incr c;
@@ -17,16 +27,9 @@ let create ~name =
       id = !c;
       name;
       routes = Hashtbl.create 16;
-      handler = (fun ~from pkt -> forward_impl t ~from pkt);
+      handler = (fun ~from:_ pkt -> send t pkt);
       no_route_drops = 0;
     }
-  and forward_impl t ~from:_ pkt = send_impl t pkt
-  and send_impl t pkt =
-    match Hashtbl.find_opt t.routes pkt.Packet.dst with
-    | Some link -> Link.send link pkt
-    | None ->
-      t.no_route_drops <- t.no_route_drops + 1;
-      Packet_pool.release pkt
   in
   t
 
@@ -40,13 +43,6 @@ let clear_routes t = Hashtbl.reset t.routes
 let set_handler t h = t.handler <- h
 let receive t ~from pkt = t.handler ~from pkt
 
-let send t pkt =
-  match Hashtbl.find_opt t.routes pkt.Packet.dst with
-  | Some link -> Link.send link pkt
-  | None ->
-    (* The packet dies here: no route means no owner downstream. *)
-    t.no_route_drops <- t.no_route_drops + 1;
-    Packet_pool.release pkt
 
 let no_route_drops t = t.no_route_drops
 let forward t ~from:_ pkt = send t pkt

@@ -1,8 +1,7 @@
 (** Imperative binary min-heap.
 
-    The comparison is fixed at creation.  Used by the discrete-event engine
-    (keyed by time with a sequence tie-breaker for deterministic ordering)
-    and by routing (keyed by distance). *)
+    The comparison is fixed at creation.  Used by routing (keyed by
+    distance); the event engine keeps its own unboxed heap. *)
 
 type 'a t
 
@@ -16,11 +15,3 @@ val peek : 'a t -> 'a option
 
 val pop : 'a t -> 'a option
 (** Remove and return the smallest element. *)
-
-val filter_in_place : 'a t -> keep:('a -> bool) -> unit
-(** Drop every element for which [keep] is false, in O(n).  The backing
-    store is reallocated to fit, so references to dropped elements are
-    released immediately (used by the engine to compact lazily-cancelled
-    timers). *)
-
-val clear : 'a t -> unit

@@ -196,6 +196,36 @@ let wait engine dt = ignore (Leotp_sim.Engine.schedule engine ~after:dt (fun () 
   in
   check_none fs
 
+(* The re-arm and delay-line seeds: their time slots are seconds. *)
+let rearm_pin_flags () =
+  let fs =
+    analyze
+      {|
+let wait h rtt_ms = Leotp_sim.Engine.rearm h ~after:rtt_ms
+[@@leotp.dim "ms rtt_ms"]
+|}
+  in
+  check_one ~rule:"dim-mixed-arith" ~witness:"Engine.rearm" fs
+
+let delay_line_pin_flags () =
+  let fs =
+    analyze
+      {|
+let send line pkt d_ms = Leotp_sim.Engine.Delay_line.push line ~delay:d_ms ~jitter:0.0 pkt ~epoch:0
+[@@leotp.dim "ms d_ms"]
+|}
+  in
+  check_one ~rule:"dim-mixed-arith" ~witness:"Delay_line.push" fs
+
+let rearm_seconds_clean () =
+  let fs =
+    analyze
+      {|
+let arm engine h = Leotp_sim.Engine.rearm_at h ~time:(Leotp_sim.Engine.now engine +. 0.5)
+|}
+  in
+  check_none fs
+
 let returns_pin () =
   let fs =
     analyze
@@ -446,6 +476,12 @@ let () =
             pin_honored_flags;
           Alcotest.test_case "param pin seconds is clean" `Quick
             pin_honored_clean;
+          Alcotest.test_case "ms into rearm ~after flagged" `Quick
+            rearm_pin_flags;
+          Alcotest.test_case "ms into delay-line push flagged" `Quick
+            delay_line_pin_flags;
+          Alcotest.test_case "seconds into rearm_at clean" `Quick
+            rearm_seconds_clean;
           Alcotest.test_case "returns pin flows to callers" `Quick
             returns_pin;
           Alcotest.test_case "expression pin checked at slot" `Quick

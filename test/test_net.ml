@@ -74,7 +74,7 @@ let test_link_queueing () =
   (* First packet waits 0, second 1ms, third 2ms. *)
   Alcotest.(check (float 1e-6))
     "mean queue delay" 0.001
-    (Leotp_util.Stats.mean st.queue_delay)
+    (Link.mean_queue_delay link)
 
 let test_link_tail_drop () =
   let engine, rng = setup () in

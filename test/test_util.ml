@@ -295,38 +295,6 @@ let pqueue_sort_prop =
       in
       drain [] = List.sort Int.compare xs)
 
-let test_pqueue_filter () =
-  let q = Pqueue.create ~cmp:Int.compare in
-  List.iter (Pqueue.push q) (List.init 100 Fun.id);
-  Pqueue.filter_in_place q ~keep:(fun x -> x mod 2 = 0);
-  Alcotest.(check int) "half kept" 50 (Pqueue.length q);
-  let rec drain acc =
-    match Pqueue.pop q with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  Alcotest.(check (list int))
-    "still a heap"
-    (List.init 50 (fun i -> 2 * i))
-    (drain []);
-  Pqueue.push q 3;
-  Pqueue.filter_in_place q ~keep:(fun _ -> false);
-  Alcotest.(check bool) "empty after drop-all" true (Pqueue.is_empty q)
-
-let pqueue_filter_prop =
-  let open QCheck2 in
-  Test.make ~name:"filter_in_place keeps heap invariant" ~count:200
-    Gen.(pair (list_size (int_range 0 150) (int_range 0 1000)) (int_range 1 5))
-    (fun (xs, k) ->
-      let q = Pqueue.create ~cmp:Int.compare in
-      List.iter (Pqueue.push q) xs;
-      Pqueue.filter_in_place q ~keep:(fun x -> x mod k <> 0);
-      let rec drain acc =
-        match Pqueue.pop q with
-        | None -> List.rev acc
-        | Some x -> drain (x :: acc)
-      in
-      drain []
-      = List.sort Int.compare (List.filter (fun x -> x mod k <> 0) xs))
-
 (* ------------------------------------------------------------------ *)
 (* Domain_pool *)
 
@@ -852,9 +820,7 @@ let () =
         [
           Alcotest.test_case "ordering" `Quick test_pqueue_order;
           Alcotest.test_case "empty" `Quick test_pqueue_empty;
-          Alcotest.test_case "filter_in_place" `Quick test_pqueue_filter;
           qc pqueue_sort_prop;
-          qc pqueue_filter_prop;
         ] );
       ( "domain_pool",
         [
